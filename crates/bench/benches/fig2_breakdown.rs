@@ -7,12 +7,14 @@
 //! I/O).
 
 use hacc_bench::{compare, mini_run, print_table};
-use hacc_core::timers::{Phase, PHASES};
 use hacc_core::Physics;
+use hacc_telem::{phase_seconds, Phase, PHASES};
 
 fn main() {
     let report = mini_run(16, 4, 4, Physics::Hydro);
-    let fractions = report.timers.fractions();
+    let secs = phase_seconds(&report.telemetry.ranks);
+    let total: f64 = secs.iter().sum();
+    let get = |p: Phase| secs[p as usize] / total;
     let paper = [
         (Phase::LongRange, 1.7),
         (Phase::TreeBuild, 1.7),
@@ -24,12 +26,11 @@ fn main() {
     let rows: Vec<Vec<String>> = PHASES
         .iter()
         .map(|&p| {
-            let measured = fractions.iter().find(|(q, _)| *q == p).unwrap().1;
             let paper_f = paper.iter().find(|(q, _)| *q == p).unwrap().1;
             vec![
                 p.name().to_string(),
                 format!("{paper_f:.1}%"),
-                format!("{:.1}%", measured * 100.0),
+                format!("{:.1}%", get(p) * 100.0),
             ]
         })
         .collect();
@@ -39,7 +40,6 @@ fn main() {
         &rows,
     );
 
-    let get = |p: Phase| fractions.iter().find(|(q, _)| *q == p).unwrap().1;
     compare(
         "short-range solver dominates",
         "79.6% (largest)",

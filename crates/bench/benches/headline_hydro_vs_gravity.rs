@@ -5,17 +5,18 @@
 //! expensive. We run the same miniature box in all three physics modes
 //! and compare solver cost.
 
-use hacc_bench::{baseline, bench_config, compare, mini_run, print_table};
-use hacc_core::timers::Phase;
+use hacc_bench::{baseline, compare, mini_run, print_table};
 use hacc_core::Physics;
+use hacc_telem::{phase_seconds, Phase};
 
 fn main() {
     let np = 12;
     let steps = 3;
     let solver = |r: &hacc_core::SimReport| {
-        r.timers.get(Phase::ShortRange)
-            + r.timers.get(Phase::LongRange)
-            + r.timers.get(Phase::TreeBuild)
+        let secs = phase_seconds(&r.telemetry.ranks);
+        secs[Phase::ShortRange as usize]
+            + secs[Phase::LongRange as usize]
+            + secs[Phase::TreeBuild as usize]
     };
     let gravity = mini_run(np, 2, steps, Physics::GravityOnly);
     let adiabatic = mini_run(np, 2, steps, Physics::HydroAdiabatic);
@@ -76,8 +77,6 @@ fn main() {
     );
     // CPU-vs-GPU contrast (Section VI-B "roughly a year" remark): from
     // the modeled GPU seconds and a 100x CPU slowdown assumption.
-    let cfg = bench_config(np, steps, Physics::Hydro);
-    let _ = cfg;
     let gpu_s: f64 = full.steps.iter().map(|s| s.gpu_seconds_modeled).sum();
     println!(
         "\n  modeled GPU seconds (this run): {gpu_s:.3e}; paper scale: 196 h GPU-resident vs ~1 year CPU-only"
@@ -87,7 +86,7 @@ fn main() {
     // end-to-end number the symmetric-tile fix moves — credited pair
     // terms per wall second spent in the short-range phase, full-physics
     // run) plus the physics cost multiples for the record.
-    let sr_s = full.timers.get(Phase::ShortRange).max(1e-9);
+    let sr_s = phase_seconds(&full.telemetry.ranks)[Phase::ShortRange as usize].max(1e-9);
     baseline::record(&[
         (
             "headline_short_range_pairs_per_s",

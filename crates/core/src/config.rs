@@ -66,7 +66,8 @@ pub struct SimConfig {
     pub sf_nh_threshold: f64,
     /// RNG seed (initial conditions + stochastic subgrid).
     pub seed: u64,
-    /// Scratch directory for I/O; `None` uses a temp dir.
+    /// Scratch directory for I/O; `None` uses a fresh temp dir that the
+    /// run removes when it ends.
     pub io_dir: Option<std::path::PathBuf>,
     /// Fault-injection spec for the supervised chaos path (the `--chaos`
     /// flag; see `hacc_fault::FaultPlan::parse` for the grammar). `None`

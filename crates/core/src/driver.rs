@@ -23,7 +23,6 @@ use crate::ic::generate_ics;
 use crate::kicks::KickDrift;
 use crate::overload::{exchange_overload, migrate};
 use crate::particles::{ParticleStore, Species};
-use crate::timers::{Phase, Timers, PHASES};
 use crate::timestep::{n_substeps, rung_for, RungStats};
 use hacc_analysis::power::PowerBin;
 use hacc_analysis::twopoint::XiBin;
@@ -38,7 +37,7 @@ use hacc_iosim::{IoStats, TieredConfig, TieredWriter};
 use hacc_mesh::{PmConfig, PmSolver};
 use hacc_ranks::{CartDecomp, Comm, World};
 use hacc_telem::{
-    CommCounters, ConservationLedger, FaultCounters, FaultKind, GpuKernelRow, LedgerRecord,
+    CommCounters, ConservationLedger, FaultCounters, FaultKind, GpuKernelRow, LedgerRecord, Phase,
     RankTelemetry, Span, TelemetryReport, Tracer,
 };
 use hacc_sph::pipeline::{cfl_timestep, sph_step, SphConfig, SphInput};
@@ -48,6 +47,7 @@ use hacc_tree::{ChainingMesh, CmConfig};
 use hacc_units::constants::G_NEWTON;
 use hacc_units::Background;
 use hacc_rt::rand::{self, SeedableRng};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Per-PM-step record.
 #[derive(Debug, Clone)]
@@ -71,7 +71,7 @@ pub struct StepRecord {
     pub gpu_seconds_modeled: f64,
     /// Modeled blocking I/O seconds (Frontier-scale).
     pub io_blocking_s: f64,
-    /// Wall-clock solver seconds this step (max over ranks).
+    /// Wall-clock seconds of the whole step span (max over ranks).
     pub wall_seconds: f64,
 }
 
@@ -84,8 +84,6 @@ pub struct SimReport {
     pub total_particles: u64,
     /// Per-step records.
     pub steps: Vec<StepRecord>,
-    /// Wall-clock timers, summed over ranks.
-    pub timers: Timers,
     /// Merged GPU counters across ranks.
     pub counters: KernelCounters,
     /// Per-kernel profile (rocprof-style), merged across ranks.
@@ -111,7 +109,8 @@ pub struct SimReport {
     pub y_map_concentration: f64,
     /// Stars formed over the whole run (global).
     pub total_stars: u64,
-    /// Particle updates per second of solver wall time (aggregate).
+    /// Particle updates (all ranks) per second of step wall time (the
+    /// sum of `steps[].wall_seconds`).
     pub particles_per_second: f64,
     /// Total momentum at the end (conservation diagnostic).
     pub total_momentum: [f64; 3],
@@ -121,7 +120,8 @@ pub struct SimReport {
     /// (identical on every rank).
     pub ledger: ConservationLedger,
     /// The unified telemetry bundle: per-rank spans and counters, merged
-    /// GPU kernel rows, the ledger, and the non-golden wall-clock phases.
+    /// GPU kernel rows, and the ledger. Per-phase wall time derives from
+    /// its spans ([`hacc_telem::phase_seconds`]).
     pub telemetry: TelemetryReport,
     /// FNV-1a hash over the id-sorted final particle state (exact f64
     /// bit patterns) — the bitwise recovery contract: a supervised run
@@ -177,7 +177,6 @@ impl GasGather {
 
 struct RankOutput {
     steps: Vec<StepRecord>,
-    timers: Timers,
     spans: Vec<Span>,
     comm: CommCounters,
     ledger: ConservationLedger,
@@ -274,11 +273,11 @@ fn escalate(e: StepError) -> ! {
 /// the rendered report, since there are no rank results to assemble.
 pub fn run_simulation(cfg: &SimConfig, n_ranks: usize) -> SimReport {
     cfg.validate();
-    let io_base = resolve_io_base(cfg);
+    let io_base = IoBase::resolve(cfg);
     if cfg.sanitize {
         let (outputs, report) =
             World::run_sanitized_with(cfg.rank_backend(), n_ranks, |comm| {
-                rank_main(cfg, comm, &io_base, ResumeMode::Fresh, None)
+                rank_main(cfg, comm, &io_base.path, ResumeMode::Fresh, None)
             });
         let outputs = outputs.unwrap_or_else(|| {
             panic!("sanitizer aborted the run:\n{}", report.render_text())
@@ -286,7 +285,7 @@ pub fn run_simulation(cfg: &SimConfig, n_ranks: usize) -> SimReport {
         return assemble_report(cfg, outputs, 1, 0, Some(report));
     }
     let outputs = World::run_with(cfg.rank_backend(), n_ranks, |comm| {
-        rank_main(cfg, comm, &io_base, ResumeMode::Fresh, None)
+        rank_main(cfg, comm, &io_base.path, ResumeMode::Fresh, None)
     });
     assemble_report(cfg, outputs, 1, 0, None)
 }
@@ -301,9 +300,9 @@ pub fn resume_simulation(cfg: &SimConfig, n_ranks: usize) -> SimReport {
         cfg.io_dir.is_some(),
         "resume requires cfg.io_dir pointing at the interrupted run"
     );
-    let io_base = resolve_io_base(cfg);
+    let io_base = IoBase::resolve(cfg);
     let outputs = World::run_with(cfg.rank_backend(), n_ranks, |comm| {
-        rank_main(cfg, comm, &io_base, ResumeMode::Latest, None)
+        rank_main(cfg, comm, &io_base.path, ResumeMode::Latest, None)
     });
     assemble_report(cfg, outputs, 1, 0, None)
 }
@@ -331,7 +330,7 @@ pub fn run_supervised(cfg: &SimConfig, n_ranks: usize) -> SimReport {
     if plan.is_empty() {
         return run_simulation(cfg, n_ranks);
     }
-    let io_base = resolve_io_base(cfg);
+    let io_base = IoBase::resolve(cfg);
     // Each fatal event can kill at most one attempt (consumed flags
     // survive rollbacks), so the event count bounds the retries; +1 for
     // the final clean attempt.
@@ -344,7 +343,7 @@ pub fn run_supervised(cfg: &SimConfig, n_ranks: usize) -> SimReport {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             World::run_with(cfg.rank_backend(), n_ranks, |comm| {
                 let probe = FaultProbe::new(std::sync::Arc::clone(&st), comm.rank());
-                rank_main(cfg, comm, &io_base, resume_mode, Some(probe))
+                rank_main(cfg, comm, &io_base.path, resume_mode, Some(probe))
             })
         }));
         match result {
@@ -377,14 +376,42 @@ pub fn run_supervised(cfg: &SimConfig, n_ranks: usize) -> SimReport {
     }
 }
 
-fn resolve_io_base(cfg: &SimConfig) -> std::path::PathBuf {
-    cfg.io_dir.clone().unwrap_or_else(|| {
-        std::env::temp_dir().join(format!(
-            "frontier-sim-{}-{}",
-            std::process::id(),
-            cfg.seed
-        ))
-    })
+/// A run's I/O root: `cfg.io_dir`, or else a temp dir of the run's own,
+/// which is removed when the run ends (by return or by unwinding).
+struct IoBase {
+    path: std::path::PathBuf,
+    temp: bool,
+}
+
+impl IoBase {
+    fn resolve(cfg: &SimConfig) -> Self {
+        // Unique per run: concurrent same-seed runs in one process must
+        // not share checkpoint files.
+        static RUNS: AtomicU64 = AtomicU64::new(0);
+        match &cfg.io_dir {
+            Some(dir) => Self {
+                path: dir.clone(),
+                temp: false,
+            },
+            None => Self {
+                path: std::env::temp_dir().join(format!(
+                    "frontier-sim-{}-{}-{}",
+                    std::process::id(),
+                    cfg.seed,
+                    RUNS.fetch_add(1, Ordering::Relaxed)
+                )),
+                temp: true,
+            },
+        }
+    }
+}
+
+impl Drop for IoBase {
+    fn drop(&mut self) {
+        if self.temp {
+            let _ = std::fs::remove_dir_all(&self.path);
+        }
+    }
 }
 
 fn assemble_report(
@@ -395,7 +422,6 @@ fn assemble_report(
     sanitizer: Option<hacc_san::SanReport>,
 ) -> SimReport {
     let n_ranks = outputs.len();
-    let mut timers = Timers::new();
     let mut counters = KernelCounters::default();
     let mut profile = ProfileTable::new();
     let mut utilizations = Vec::with_capacity(n_ranks);
@@ -403,7 +429,6 @@ fn assemble_report(
     let mut momentum = [0.0f64; 3];
     let mut momentum_scale = 0.0f64;
     for o in &outputs {
-        timers.merge(&o.timers);
         counters.merge(&o.counters);
         profile.merge(&o.profile);
         utilizations.push(o.utilization);
@@ -414,7 +439,7 @@ fn assemble_report(
         }
     }
     let first = &outputs[0];
-    let solver_wall = timers.get(Phase::ShortRange).max(1e-12) / n_ranks as f64;
+    let wall: f64 = first.steps.iter().map(|s| s.wall_seconds).sum();
 
     // Unified telemetry bundle. GPU rows come from the merged profile
     // table; sorted by name so the golden artifact has a stable order.
@@ -445,10 +470,6 @@ fn assemble_report(
             .collect(),
         gpu,
         ledger: first.ledger.clone(),
-        wall_phases: PHASES
-            .iter()
-            .map(|&p| (p.name().to_string(), timers.get(p)))
-            .collect(),
         attempts,
         rollbacks,
         sanitizer: sanitizer
@@ -460,7 +481,6 @@ fn assemble_report(
         n_ranks,
         total_particles: cfg.total_particles(),
         steps: first.steps.clone(),
-        timers,
         counters,
         profile,
         utilizations,
@@ -472,7 +492,7 @@ fn assemble_report(
         n_galaxies: outputs.iter().map(|o| o.n_galaxies).sum(),
         y_map_concentration: first.y_map_concentration,
         total_stars: first.total_stars,
-        particles_per_second: updates as f64 / solver_wall.max(1e-12),
+        particles_per_second: updates as f64 / wall.max(1e-12),
         total_momentum: momentum,
         momentum_scale,
         ledger: first.ledger.clone(),
@@ -579,7 +599,6 @@ fn rank_main(
         w.arm_faults(p.clone());
     }
 
-    let mut timers = Timers::new();
     let mut tracer = Tracer::new(comm.rank());
     let mut ledger = ConservationLedger::new();
     let mut counters = KernelCounters::default();
@@ -628,25 +647,22 @@ fn rank_main(
             p.set_step(step as u64);
         }
         // p1: allow: per-step trace label, one small allocation per PM step
-        let sp_step = tracer.begin("step", &format!("step-{step}"));
+        let sp_step = tracer.begin(Phase::Step, &format!("step-{step}"));
 
         // --- 1. migrate + overload refresh ---
-        let sp = tracer.begin("misc", "migrate+overload");
-        timers.begin(Phase::Misc);
+        let sp = tracer.begin(Phase::Misc, "migrate+overload");
         migrate(comm, &decomp, &mut store, cfg.box_size);
         exchange_overload(comm, &decomp, &mut store, cfg.box_size, overload_width);
         if let Some(reg) = ghost_region {
             hacc_san::annotate_write(reg);
         }
-        timers.end();
         tracer.end(sp);
 
         let n_owned_global =
             comm.all_reduce_sum_u64(store.n_owned as u64);
 
         // --- 2. long-range solve + opening half-kick ---
-        let sp = tracer.begin("long-range", "pm-solve+half-kick");
-        timers.begin(Phase::LongRange);
+        let sp = tracer.begin(Phase::LongRange, "pm-solve+half-kick");
         lr_pos.clear();
         lr_pos.extend_from_slice(&store.pos[..store.n_owned]);
         lr_mass.clear();
@@ -658,7 +674,6 @@ fn rank_main(
                 store.vel[i][d] += lr_acc[i][d] / a0 * half_kick;
             }
         }
-        timers.end();
         tracer.end(sp);
 
         // --- 3. chaining mesh + trees (once per PM step) ---
@@ -682,14 +697,12 @@ fn rank_main(
             bin_width: cutoff.max(1e-3),
             max_leaf: 128,
         };
-        let sp = tracer.begin("tree-build", "chaining-mesh");
-        timers.begin(Phase::TreeBuild);
+        let sp = tracer.begin(Phase::TreeBuild, "chaining-mesh");
         if let Some(reg) = ghost_region {
             // The node-local solve starts consuming the ghosts here.
             hacc_san::annotate_read(reg);
         }
         let mut cm_all = ChainingMesh::build(&store.pos, dom_lo, dom_hi, &cm_cfg);
-        timers.end();
         tracer.end(sp);
 
         // --- rung assignment (gas CFL; collisionless on rung 0) ---
@@ -723,8 +736,7 @@ fn rank_main(
         let da_s = da_pm / nsub as f64;
 
         // --- 4. short-range subcycle block (chained KDK) ---
-        let sp_sr = tracer.begin("short-range", "subcycle-block");
-        timers.begin(Phase::ShortRange);
+        let sp_sr = tracer.begin(Phase::ShortRange, "subcycle-block");
         // Planned rank loss fires here — mid-step, after this step's
         // migrate/PM work but before its checkpoint, so the newest
         // checkpoint on disk predates the killed step (the node-loss
@@ -878,22 +890,18 @@ fn rank_main(
                 w,
             );
         }
-        timers.end();
         tracer.end(sp_sr);
 
         // --- 5. in-situ analysis (+ science output through the tiers) ---
         if cfg.analysis_every > 0 && (step + 1) % cfg.analysis_every == 0 {
-            let sp = tracer.begin("analysis", "in-situ-analysis");
-            timers.begin(Phase::Analysis);
+            let sp = tracer.begin(Phase::Analysis, "in-situ-analysis");
             let halos =
                 run_analysis_step(cfg, comm, &store, &agn, &mut black_holes, &kd, a1);
-            timers.end();
             tracer.end(sp);
             // Halo catalogs are the paper's ~12 PB science side channel:
             // written through the same tiers, never pruned.
             if let Some(w) = writer.as_mut() {
-                let sp = tracer.begin("io", "halo-catalog");
-                timers.begin(Phase::Io);
+                let sp = tracer.begin(Phase::Io, "halo-catalog");
                 let frac = step as f64 / cfg.pm_steps.max(1) as f64;
                 for c in halo_cols.iter_mut() {
                     c.clear();
@@ -915,14 +923,12 @@ fn rank_main(
                     frac * 0.8,
                     1.3,
                 );
-                timers.end();
                 tracer.end(sp);
             }
         }
 
         // --- 6. closing long-range half-kick ---
-        let sp = tracer.begin("long-range", "pm-solve+closing-half-kick");
-        timers.begin(Phase::LongRange);
+        let sp = tracer.begin(Phase::LongRange, "pm-solve+closing-half-kick");
         lr_pos.clear();
         lr_pos.extend_from_slice(&store.pos[..store.n_owned]);
         lr_mass.clear();
@@ -933,7 +939,6 @@ fn rank_main(
                 store.vel[i][d] += lr_acc[i][d] / a1 * half_kick;
             }
         }
-        timers.end();
         tracer.end(sp);
 
         // --- 7. tiered checkpoint of the completed step ---
@@ -941,8 +946,7 @@ fn rank_main(
         let mut io_blocking = 0.0;
         if let Some(w) = writer.as_mut() {
             if (step + 1) % cfg.checkpoint_every == 0 {
-                let sp = tracer.begin("io", "checkpoint");
-                timers.begin(Phase::Io);
+                let sp = tracer.begin(Phase::Io, "checkpoint");
                 // Low-z clustering raises PFS contention and grows the
                 // node data imbalance toward ~2x (Section VI-B); analysis
                 // output steps dip the NVMe bandwidth by up to 30%.
@@ -967,7 +971,6 @@ fn rank_main(
                             cause: e.to_string(),
                         })
                     });
-                timers.end();
                 tracer.end(sp);
             }
         }
@@ -977,8 +980,7 @@ fn rank_main(
         // count reduced after migration is the end-of-step count too. The
         // f64 sums reduce elementwise in rank order — deterministic for a
         // fixed rank count.
-        let sp = tracer.begin("misc", "ledger-reduce");
-        timers.begin(Phase::Misc);
+        let sp = tracer.begin(Phase::Misc, "ledger-reduce");
         let mut local = [0.0f64; 7];
         for i in 0..store.n_owned {
             let m = store.mass[i];
@@ -1011,7 +1013,6 @@ fn rank_main(
             kinetic: tot[5],
             internal: tot[6],
         });
-        timers.end();
         tracer.end(sp);
 
         total_stars += comm.all_reduce_sum_u64(stars_this_step);
@@ -1038,11 +1039,9 @@ fn rank_main(
     }
 
     // --- final analysis: P(k), FOF, xi(r), HOD galaxies, SZ map ---
-    let sp = tracer.begin("analysis", "final-analysis");
-    timers.begin(Phase::Analysis);
+    let sp = tracer.begin(Phase::Analysis, "final-analysis");
     let (power, n_halos, largest_halo, xi, n_galaxies, y_conc) =
         final_analysis(cfg, comm, &store, &mut rng);
-    timers.end();
     tracer.end(sp);
 
     let state_hash = global_state_hash(comm, &store, cfg.box_size);
@@ -1059,7 +1058,6 @@ fn rank_main(
     }
     RankOutput {
         steps,
-        timers,
         spans: tracer.into_spans(),
         comm: comm.telemetry(),
         ledger,
@@ -1392,7 +1390,7 @@ fn store_from_blocks(blocks: &[Block]) -> ParticleStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::timers::PHASES;
+    use hacc_telem::{phase_seconds, PHASES};
 
     fn quick_cfg(np: usize, physics: Physics) -> SimConfig {
         let mut c = SimConfig::small(np);
@@ -1423,7 +1421,7 @@ mod tests {
             );
         }
         assert!(report.counters.flops > 0);
-        assert!(report.timers.total() > 0.0);
+        assert!(phase_seconds(&report.telemetry.ranks).iter().sum::<f64>() > 0.0);
         assert!(!report.power.is_empty());
     }
 
@@ -1460,7 +1458,7 @@ mod tests {
     #[test]
     fn short_range_dominates_runtime() {
         // The Fig. 2 structural claim at miniature scale: the short-range
-        // solver is the largest phase. Wall-clock phase timers need the
+        // solver is the largest phase. Wall-clock phase totals need the
         // un-multiplexed reference backend: under cooperative scheduling
         // a rank's comm-wait time is charged to the blocking phase,
         // which inflates the comm-heavy long-range solve when ranks
@@ -1468,17 +1466,86 @@ mod tests {
         let mut cfg = quick_cfg(10, Physics::Hydro);
         cfg.backend = Some(hacc_ranks::Backend::Threads);
         let report = run_simulation(&cfg, 2);
-        let sr = report.timers.get(Phase::ShortRange);
-        for p in PHASES {
-            if p != Phase::ShortRange {
-                assert!(
-                    sr >= report.timers.get(p),
-                    "{} ({:.3}s) exceeds short-range ({sr:.3}s)",
-                    p.name(),
-                    report.timers.get(p)
-                );
-            }
+        let secs = phase_seconds(&report.telemetry.ranks);
+        let sr = secs[Phase::ShortRange as usize];
+        for (p, s) in PHASES.iter().zip(secs) {
+            assert!(
+                sr >= s,
+                "{} ({s:.3}s) exceeds short-range ({sr:.3}s)",
+                p.name()
+            );
         }
+    }
+
+    #[test]
+    fn phase_seconds_partition_each_ranks_traced_wall() {
+        let cfg = quick_cfg(8, Physics::Hydro);
+        let report = run_simulation(&cfg, 2);
+        for rt in &report.telemetry.ranks {
+            let phases: f64 = phase_seconds(std::slice::from_ref(rt)).iter().sum();
+            let traced: f64 = rt
+                .spans
+                .iter()
+                .filter(|s| s.depth == 0)
+                .map(|s| s.wall_s)
+                .sum();
+            assert!(traced > 0.0);
+            assert!(
+                (phases - traced).abs() <= 1e-9 * traced,
+                "rank {}: phases {phases:.9}s != traced wall {traced:.9}s",
+                rt.rank
+            );
+        }
+    }
+
+    #[test]
+    fn particles_per_second_is_updates_per_step_wall_second() {
+        // particles/s x the summed step wall is the update count, which
+        // no backend changes — however the ranks share the host's cores.
+        let updates = |backend| {
+            let mut cfg = quick_cfg(8, Physics::Hydro);
+            cfg.backend = Some(backend);
+            let report = run_simulation(&cfg, 4);
+            let wall: f64 = report.steps.iter().map(|s| s.wall_seconds).sum();
+            report.particles_per_second * wall
+        };
+        let coop = updates(hacc_ranks::Backend::Cooperative);
+        let threads = updates(hacc_ranks::Backend::Threads);
+        assert!(coop > 0.0);
+        assert!(
+            (coop - threads).abs() <= 1e-9 * coop,
+            "coop {coop} vs threads {threads} updates"
+        );
+    }
+
+    #[test]
+    fn default_io_dir_is_removed_when_the_run_ends() {
+        // A seed no other test uses, so the prefix names only this
+        // test's directories.
+        let seed = 90_210_777;
+        let prefix = format!("frontier-sim-{}-{seed}", std::process::id());
+        let leftovers = || -> Vec<String> {
+            std::fs::read_dir(std::env::temp_dir())
+                .into_iter()
+                .flatten()
+                .flatten()
+                .map(|e| e.file_name().to_string_lossy().into_owned())
+                .filter(|n| *n == prefix || n.starts_with(&format!("{prefix}-")))
+                .collect()
+        };
+        let mut cfg = quick_cfg(8, Physics::GravityOnly);
+        cfg.seed = seed;
+        assert!(cfg.io_dir.is_none());
+        let plain = run_simulation(&cfg, 2);
+        assert!(plain.io.checkpoints >= 2);
+        assert_eq!(leftovers(), Vec::<String>::new());
+        // Supervised: the directory outlives the failed attempt (the
+        // rollback reads its checkpoints) and goes after the last one.
+        cfg.chaos = Some("panic@1:0".into());
+        let recovered = run_supervised(&cfg, 2);
+        assert_eq!(recovered.rollbacks, 1);
+        assert_eq!(recovered.final_state_hash, plain.final_state_hash);
+        assert_eq!(leftovers(), Vec::<String>::new());
     }
 
     #[test]

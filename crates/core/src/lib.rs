@@ -26,10 +26,8 @@ pub mod kicks;
 pub mod overload;
 pub mod particles;
 pub mod scaling;
-pub mod timers;
 pub mod timestep;
 
 pub use config::{Physics, SimConfig};
 pub use driver::{resume_simulation, run_simulation, run_supervised, SimReport, StepRecord};
 pub use particles::{ParticleStore, Species};
-pub use timers::Timers;

@@ -9,7 +9,7 @@
 
 use crate::config::SimConfig;
 use crate::driver::run_simulation;
-use crate::timers::Phase;
+use hacc_telem::{phase_seconds, Phase};
 
 /// One scaling measurement point.
 #[derive(Debug, Clone, Copy)]
@@ -21,7 +21,7 @@ pub struct ScalePoint {
     /// Solver seconds (short-range + long-range + tree), averaged per
     /// rank.
     pub solver_seconds: f64,
-    /// Particle updates per solver second, aggregated.
+    /// Particle updates per step wall second, aggregated.
     pub particles_per_second: f64,
     /// Raw wall-clock efficiency relative to the smallest point.
     pub efficiency: f64,
@@ -78,9 +78,10 @@ fn scaled_config(base: &SimConfig, np: usize) -> SimConfig {
 
 fn measure(cfg: &SimConfig, ranks: usize) -> ScalePoint {
     let report = run_simulation(cfg, ranks);
-    let solver = (report.timers.get(Phase::ShortRange)
-        + report.timers.get(Phase::LongRange)
-        + report.timers.get(Phase::TreeBuild))
+    let secs = phase_seconds(&report.telemetry.ranks);
+    let solver = (secs[Phase::ShortRange as usize]
+        + secs[Phase::LongRange as usize]
+        + secs[Phase::TreeBuild as usize])
         / ranks as f64;
     ScalePoint {
         ranks,

@@ -131,9 +131,7 @@ pub fn solve_summaries<S: Clone + PartialEq>(
         loop {
             let mut changed = false;
             for &fid in &comp {
-                let snapshot = summaries.clone();
-                let get = |id: FnId| snapshot[id].clone();
-                let s = compute(fid, &get);
+                let s = compute(fid, &|id: FnId| summaries[id].clone());
                 if s != summaries[fid] {
                     summaries[fid] = s;
                     changed = true;

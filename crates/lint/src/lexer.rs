@@ -360,6 +360,10 @@ fn mark_test_regions(toks: &mut [Token]) {
 /// If `i` starts `#[cfg(test)]` or `#[test]` (comments allowed inside),
 /// return the index one past the closing `]`.
 fn match_test_attr(toks: &[Token], i: usize) -> Option<usize> {
+    // Cheap reject first: this runs once per token.
+    if toks[i].kind != Kind::Comment && !toks[i].is_punct('#') {
+        return None;
+    }
     let sig: Vec<usize> = (i..toks.len().min(i + 16))
         .filter(|&k| toks[k].kind != Kind::Comment)
         .collect();

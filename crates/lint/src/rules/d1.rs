@@ -14,8 +14,9 @@
 //!
 //! 2. **Wall-clock reads outside the blessed modules.** `Instant::now`
 //!    and `SystemTime` are how wall time leaks into what should be a
-//!    pure function of the seed. Only `core::timers` (the phase-timer
-//!    authority), `rt::bench`, and the `crates/bench` harness may read
+//!    pure function of the seed. Only `telem::span` (the span tracer,
+//!    the simulation's one clock: phase totals derive from its span
+//!    self times), `rt::bench`, and the `crates/bench` harness may read
 //!    clocks; anything else needs a reviewed `lint.allow` entry.
 //!
 //! 3. **Environment reads in golden paths.** `std::env::var` (and
@@ -41,7 +42,7 @@ const GOLDEN_SCOPES: [&str; 3] = [
 
 /// Modules blessed to read wall clocks.
 const CLOCK_ALLOWED: [&str; 3] = [
-    "crates/core/src/timers.rs",
+    "crates/telem/src/span.rs",
     "crates/rt/src/bench.rs",
     "crates/bench/",
 ];
@@ -144,8 +145,8 @@ fn wall_clock(f: &SourceFile, out: &mut Vec<Diagnostic>) {
                 file: f.rel.clone(),
                 line: t.line,
                 rule: Rule::D1,
-                message: "`SystemTime` outside the blessed timer modules \
-                          (core::timers, rt::bench, crates/bench): wall time must \
+                message: "`SystemTime` outside the blessed clock modules \
+                          (telem::span, rt::bench, crates/bench): wall time must \
                           not reach deterministic state"
                     .into(),
             });
@@ -160,9 +161,9 @@ fn wall_clock(f: &SourceFile, out: &mut Vec<Diagnostic>) {
                 file: f.rel.clone(),
                 line: t.line,
                 rule: Rule::D1,
-                message: "`Instant::now` outside the blessed timer modules \
-                          (core::timers, rt::bench, crates/bench): route timing \
-                          through the phase timers or the span tracer"
+                message: "`Instant::now` outside the blessed clock modules \
+                          (telem::span, rt::bench, crates/bench): route timing \
+                          through the span tracer"
                     .into(),
             });
         }

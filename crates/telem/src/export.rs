@@ -11,7 +11,7 @@ use crate::counters::{
     CommCounters, FaultCounters, GpuKernelRow, IoCounters, COLLECTIVE_KINDS, FAULT_KINDS,
 };
 use crate::ledger::ConservationLedger;
-use crate::span::Span;
+use crate::span::{Span, PHASES};
 use std::fmt::Write as _;
 
 /// First line of the golden region of a text report.
@@ -45,8 +45,6 @@ pub struct TelemetryReport {
     /// The conservation ledger (globally reduced; identical on every
     /// rank).
     pub ledger: ConservationLedger,
-    /// Per-phase wall seconds summed over ranks — **non-golden**.
-    pub wall_phases: Vec<(String, f64)>,
     /// Supervisor attempts the run took (1 = no fault required a
     /// restart). Golden: the attempt sequence is seed-deterministic.
     pub attempts: u64,
@@ -93,7 +91,7 @@ impl TelemetryReport {
                      \"dur\":{},\"pid\":0,\"tid\":{},\"args\":{{\"step\":{},\
                      \"depth\":{}}}}}",
                     json_escape(&s.name),
-                    json_escape(s.phase),
+                    json_escape(s.phase.name()),
                     s.seq_open,
                     dur,
                     rt.rank,
@@ -208,7 +206,7 @@ impl TelemetryReport {
                     s.seq_open,
                     s.seq_close,
                     s.name,
-                    s.phase,
+                    s.phase.name(),
                     indent = 2 * (s.depth as usize + 1)
                 );
             }
@@ -219,11 +217,30 @@ impl TelemetryReport {
         let _ = writeln!(w);
         let _ = writeln!(w, "# non-golden appendix: wall-clock seconds (vary run to run)");
         let _ = writeln!(w, "[wall-clock phases, summed over ranks]");
-        for (name, s) in &self.wall_phases {
-            let _ = writeln!(w, "{name} = {s:.6}s");
+        for (p, s) in PHASES.iter().zip(phase_seconds(&self.ranks)) {
+            let _ = writeln!(w, "{} = {s:.6}s", p.name());
         }
         o
     }
+}
+
+/// Wall seconds per phase, summed over `ranks` and indexed like
+/// [`PHASES`] — **non-golden**. Each span contributes its self time (its
+/// `wall_s` minus its direct children's) to its phase; the `step`
+/// envelope's self time counts as `misc`. Self times partition the wall
+/// time, so per rank the phases sum to the wall time of its depth-0
+/// spans.
+pub fn phase_seconds(ranks: &[RankTelemetry]) -> [f64; PHASES.len()] {
+    let mut secs = [0.0; PHASES.len()];
+    for rt in ranks {
+        for s in &rt.spans {
+            secs[s.phase.slot()] += s.wall_s;
+            if let Some(parent) = s.parent {
+                secs[rt.spans[parent].phase.slot()] -= s.wall_s;
+            }
+        }
+    }
+    secs
 }
 
 /// Extract the golden region (inclusive of its markers) from a text
@@ -244,17 +261,17 @@ pub fn golden_section(report: &str) -> &str {
 mod tests {
     use super::*;
     use crate::ledger::LedgerRecord;
-    use crate::span::Tracer;
+    use crate::span::{Phase, Tracer};
 
     fn sample_report(sleep: bool) -> TelemetryReport {
         let mut tr = Tracer::new(0);
         tr.set_step(0);
-        let a = tr.begin("misc", "migrate");
+        let a = tr.begin(Phase::Misc, "migrate");
         if sleep {
             std::thread::sleep(std::time::Duration::from_millis(3));
         }
         tr.end(a);
-        let (_, _) = tr.scope("io", "checkpoint", || ());
+        let (_, _) = tr.scope(Phase::Io, "checkpoint", || ());
         let mut comm = CommCounters::default();
         comm.record_send(64);
         comm.record_collective(crate::CollectiveKind::AllReduce);
@@ -289,7 +306,6 @@ mod tests {
                 pairs: 99,
             }],
             ledger,
-            wall_phases: vec![("misc".into(), if sleep { 0.5 } else { 0.25 })],
             attempts: 1,
             rollbacks: 0,
             sanitizer: Vec::new(),
@@ -344,6 +360,91 @@ mod tests {
         let txt = sample_report(false).text_report();
         assert!(txt.contains("1.500000000000e12"));
         assert!(txt.contains("512"));
+    }
+
+    fn rank_of(rank: usize, tracer: Tracer) -> RankTelemetry {
+        RankTelemetry {
+            rank,
+            spans: tracer.into_spans(),
+            comm: CommCounters::default(),
+            io: IoCounters::default(),
+            faults: FaultCounters::default(),
+        }
+    }
+
+    fn nap(ms: u64) {
+        std::thread::sleep(std::time::Duration::from_millis(ms));
+    }
+
+    #[test]
+    fn phases_index_their_slots() {
+        for (i, p) in PHASES.iter().enumerate() {
+            assert_eq!(p.slot(), i, "{}", p.name());
+        }
+        assert_eq!(Phase::Step.slot(), Phase::Misc.slot());
+    }
+
+    #[test]
+    fn nested_spans_attribute_time_to_exactly_one_phase() {
+        // A misc span opened inside a long-range span claims its own wall
+        // time exclusively: the per-phase totals sum to the elapsed time
+        // of the outer span, with no double-counting.
+        let mut tr = Tracer::new(0);
+        let outer = tr.begin(Phase::LongRange, "outer");
+        nap(5);
+        let inner = tr.begin(Phase::Misc, "inner");
+        nap(10);
+        let inner_s = tr.end(inner);
+        nap(5);
+        let outer_s = tr.end(outer);
+        let secs = phase_seconds(&[rank_of(0, tr)]);
+
+        let get = |p: Phase| secs[p.slot()];
+        assert!(inner_s >= 0.010);
+        assert!(get(Phase::Misc) >= 0.010);
+        assert!(get(Phase::LongRange) > 0.0);
+        let total: f64 = secs.iter().sum();
+        assert!(
+            (total - outer_s).abs() < 1e-9,
+            "phases {secs:?} != outer {outer_s:.6}"
+        );
+    }
+
+    #[test]
+    fn deeply_nested_spans_sum_to_elapsed() {
+        let mut tr = Tracer::new(0);
+        let a = tr.begin(Phase::ShortRange, "a");
+        let b = tr.begin(Phase::TreeBuild, "b");
+        let c = tr.begin(Phase::Analysis, "c");
+        nap(3);
+        tr.end(c);
+        tr.end(b);
+        let outer_s = tr.end(a);
+        let total: f64 = phase_seconds(&[rank_of(0, tr)]).iter().sum();
+        assert!((total - outer_s).abs() < 1e-9);
+    }
+
+    #[test]
+    fn step_envelope_self_time_counts_as_misc_and_ranks_add() {
+        let run = |rank: usize| {
+            let mut tr = Tracer::new(rank);
+            let step = tr.begin(Phase::Step, "step-0");
+            nap(4);
+            let sr = tr.begin(Phase::ShortRange, "subcycle-block");
+            nap(2);
+            let sr_s = tr.end(sr);
+            let step_s = tr.end(step);
+            (rank_of(rank, tr), step_s - sr_s, step_s)
+        };
+        let (r0, misc0, wall0) = run(0);
+        let (r1, misc1, wall1) = run(1);
+        let one = phase_seconds(std::slice::from_ref(&r0));
+        assert!((one[Phase::Misc.slot()] - misc0).abs() < 1e-12);
+        assert!(misc0 >= 0.004);
+        let both = phase_seconds(&[r0, r1]);
+        assert!((both[Phase::Misc.slot()] - (misc0 + misc1)).abs() < 1e-12);
+        let total: f64 = both.iter().sum();
+        assert!((total - (wall0 + wall1)).abs() < 1e-9);
     }
 
     #[test]

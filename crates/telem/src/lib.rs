@@ -13,15 +13,17 @@
 //!
 //! * [`span`] — nested span tracing on a logical clock (sequence numbers,
 //!   not wall time), with wall durations carried separately as non-golden
-//!   annotations;
+//!   annotations, and the [`Phase`] taxonomy the spans are tagged with;
 //! * [`counters`] — the counter taxonomy: per-rank communication counters
 //!   ([`CommCounters`]: messages, bytes, collective calls per kind),
 //!   per-tier I/O counters ([`IoCounters`]), and per-kernel GPU rows
 //!   ([`GpuKernelRow`]: launches, FLOPs, bytes, pairs);
 //! * [`ledger`] — the per-step conservation ledger (particle count, mass,
 //!   momentum, kinetic + internal energy), reduced across ranks;
-//! * [`export`] — the Chrome-trace JSON exporter and the plain-text
-//!   per-rank/per-phase report with explicitly delimited golden sections.
+//! * [`export`] — the Chrome-trace JSON exporter, the plain-text
+//!   per-rank/per-phase report with explicitly delimited golden sections,
+//!   and [`phase_seconds`], the per-phase wall time (Fig. 2) derived from
+//!   span self times.
 //!
 //! # Determinism contract
 //!
@@ -43,6 +45,8 @@ pub use counters::{
     CollectiveKind, CommCounters, FaultCounters, FaultKind, GpuKernelRow, IoCounters,
     COLLECTIVE_KINDS, FAULT_KINDS,
 };
-pub use export::{golden_section, RankTelemetry, TelemetryReport, GOLDEN_BEGIN, GOLDEN_END};
+pub use export::{
+    golden_section, phase_seconds, RankTelemetry, TelemetryReport, GOLDEN_BEGIN, GOLDEN_END,
+};
 pub use ledger::{ConservationLedger, LedgerRecord};
-pub use span::{Span, SpanId, Tracer};
+pub use span::{Phase, Span, SpanId, Tracer, PHASES};

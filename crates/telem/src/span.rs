@@ -1,19 +1,76 @@
 //! Nested span tracing on a logical clock.
 //!
-//! A [`Tracer`] records begin/end events for named spans. Ordering is
-//! captured by a monotonically increasing *sequence number* — the logical
-//! clock — so two runs of the same simulation produce identical span
-//! records even though their wall clocks differ. Wall durations are still
-//! measured (they feed the non-golden section of the text report and the
-//! phase timers), but they live in a separate field that exporters keep
-//! out of golden artifacts.
+//! A [`Tracer`] records begin/end events for named spans, each tagged
+//! with a [`Phase`]. Ordering is captured by a monotonically increasing
+//! *sequence number* — the logical clock — so two runs of the same
+//! simulation produce identical span records even though their wall
+//! clocks differ. Wall durations are still measured (they feed the
+//! per-phase breakdown and the non-golden section of the text report),
+//! but they live in a separate field that exporters keep out of golden
+//! artifacts. This module is the only wall-clock reader of the
+//! simulation.
 //!
 //! Spans nest: a span opened while another is open becomes its child.
-//! Each record carries its depth and parent, and closing a span returns
-//! its wall duration so callers can attribute time to exactly one
-//! accounting bucket (see `hacc_core::timers` for the self-time rule).
+//! Each record carries its depth and parent, so every second of wall
+//! time can be attributed to exactly one phase — the innermost open span
+//! (see [`crate::phase_seconds`] for the self-time rule).
 
 use std::time::Instant;
+
+/// The span taxonomy: the timed simulation phases in the paper's Fig. 2
+/// ordering, plus the per-PM-step envelope.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Phase {
+    /// Spectral long-range solver (distributed FFTs + Green's function).
+    LongRange,
+    /// Chaining-mesh + tree construction.
+    TreeBuild,
+    /// Short-range solver (gravity + hydro + subgrid kernels).
+    ShortRange,
+    /// In-situ analysis.
+    Analysis,
+    /// Checkpoint/output I/O (blocking portion).
+    Io,
+    /// Everything else (reductions, overload exchange, bookkeeping).
+    Misc,
+    /// The envelope of one PM step. Not an accounting phase: its self
+    /// time (rung assignment, end-of-step reductions) counts as `Misc`.
+    Step,
+}
+
+/// The accounting phases, for iteration; each one's discriminant is its
+/// index here.
+pub const PHASES: [Phase; 6] = [
+    Phase::LongRange,
+    Phase::TreeBuild,
+    Phase::ShortRange,
+    Phase::Analysis,
+    Phase::Io,
+    Phase::Misc,
+];
+
+impl Phase {
+    /// Display name (the span tag in every export).
+    pub fn name(&self) -> &'static str {
+        match self {
+            Phase::LongRange => "long-range",
+            Phase::TreeBuild => "tree-build",
+            Phase::ShortRange => "short-range",
+            Phase::Analysis => "analysis",
+            Phase::Io => "io",
+            Phase::Misc => "misc",
+            Phase::Step => "step",
+        }
+    }
+
+    /// Index into [`PHASES`] of the phase this span's time counts under.
+    pub(crate) fn slot(self) -> usize {
+        match self {
+            Phase::Step => Phase::Misc as usize,
+            p => p as usize,
+        }
+    }
+}
 
 /// Handle to an open span (index into the tracer's span table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,9 +81,8 @@ pub struct SpanId(usize);
 pub struct Span {
     /// Span name (e.g. `"long-range"`, `"step-3"`).
     pub name: String,
-    /// Phase/category tag (e.g. `"misc"`, `"io"`); groups spans in
-    /// exports.
-    pub phase: &'static str,
+    /// Phase tag; groups spans in exports and attributes their time.
+    pub phase: Phase,
     /// PM step the span was opened in.
     pub step: u64,
     /// Nesting depth (0 = top level).
@@ -80,7 +136,7 @@ impl Tracer {
     }
 
     /// Open a span; it becomes a child of the innermost open span.
-    pub fn begin(&mut self, phase: &'static str, name: &str) -> SpanId {
+    pub fn begin(&mut self, phase: Phase, name: &str) -> SpanId {
         let seq = self.tick();
         let parent = self.stack.last().map(|&(i, _)| i);
         let depth = self.stack.len() as u32;
@@ -118,12 +174,7 @@ impl Tracer {
     }
 
     /// Run `f` inside a span; returns `f`'s value and the wall seconds.
-    pub fn scope<T>(
-        &mut self,
-        phase: &'static str,
-        name: &str,
-        f: impl FnOnce() -> T,
-    ) -> (T, f64) {
+    pub fn scope<T>(&mut self, phase: Phase, name: &str, f: impl FnOnce() -> T) -> (T, f64) {
         let id = self.begin(phase, name);
         let out = f();
         let wall = self.end(id);
@@ -153,8 +204,8 @@ mod tests {
     #[test]
     fn spans_nest_with_parents_and_depth() {
         let mut t = Tracer::new(0);
-        let a = t.begin("misc", "outer");
-        let b = t.begin("io", "inner");
+        let a = t.begin(Phase::Misc, "outer");
+        let b = t.begin(Phase::Io, "inner");
         t.end(b);
         t.end(a);
         let s = t.into_spans();
@@ -174,15 +225,15 @@ mod tests {
     #[should_panic(expected = "LIFO")]
     fn non_lifo_close_is_rejected() {
         let mut t = Tracer::new(0);
-        let a = t.begin("misc", "outer");
-        let _b = t.begin("misc", "inner");
+        let a = t.begin(Phase::Misc, "outer");
+        let _b = t.begin(Phase::Misc, "inner");
         t.end(a);
     }
 
     #[test]
     fn scope_returns_value_and_wall() {
         let mut t = Tracer::new(1);
-        let (v, wall) = t.scope("analysis", "compute", || 7);
+        let (v, wall) = t.scope(Phase::Analysis, "compute", || 7);
         assert_eq!(v, 7);
         assert!(wall >= 0.0);
         assert_eq!(t.spans().len(), 1);
@@ -195,7 +246,7 @@ mod tests {
         let run = |sleep: bool| {
             let mut t = Tracer::new(0);
             t.set_step(3);
-            let a = t.begin("short-range", "kick");
+            let a = t.begin(Phase::ShortRange, "kick");
             if sleep {
                 std::thread::sleep(std::time::Duration::from_millis(5));
             }

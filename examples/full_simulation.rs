@@ -10,8 +10,8 @@
 //! structure as the paper's 4-trillion-particle, 625-step flagship, at
 //! one-billionth scale.
 
-use frontier_sim::core::timers::Phase;
 use frontier_sim::core::{run_simulation, Physics, SimConfig};
+use frontier_sim::telem::{phase_seconds, Phase};
 use frontier_sim::units::CosmologyParams;
 
 fn main() {
@@ -59,8 +59,9 @@ fn main() {
         );
     }
 
-    let sr = report.timers.get(Phase::ShortRange);
-    let total = report.timers.total();
+    let secs = phase_seconds(&report.telemetry.ranks);
+    let sr = secs[Phase::ShortRange as usize];
+    let total: f64 = secs.iter().sum();
     println!("\n-- headline checks --");
     println!(
         "  short-range fraction: {:.1}% (paper: 79.6%)",

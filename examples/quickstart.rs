@@ -9,6 +9,7 @@
 //! breakdown, device utilization, I/O record, and final analysis.
 
 use frontier_sim::core::{run_simulation, Physics, SimConfig};
+use frontier_sim::telem::{phase_seconds, PHASES};
 
 fn main() {
     // A laptop-sized configuration: 12^3 sites -> 3,456 particles
@@ -36,8 +37,10 @@ fn main() {
     }
 
     println!("\n-- time-to-solution breakdown (cf. paper Fig. 2) --");
-    for (phase, frac) in report.timers.fractions() {
-        println!("  {:<12} {:>5.1}%", phase.name(), frac * 100.0);
+    let secs = phase_seconds(&report.telemetry.ranks);
+    let total: f64 = secs.iter().sum();
+    for (phase, s) in PHASES.iter().zip(secs) {
+        println!("  {:<12} {:>5.1}%", phase.name(), s / total * 100.0);
     }
 
     println!("\n-- device model --");

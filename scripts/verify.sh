@@ -159,10 +159,14 @@ echo "== build (offline) =="
 cargo build --release --offline
 
 echo "== test (offline) =="
-cargo test -q --offline
+# --workspace: the crates' own unit and integration tests (hacc-core,
+# hacc-telem, hacc-lint's clean-workspace self-check, ...) run too, not
+# just the root package's.
+cargo test -q --offline --workspace
 
 echo "== tier 2: warnings-as-errors build =="
-RUSTFLAGS="-D warnings" cargo build --release --offline
+# Benches and examples are built too, so they cannot rot unnoticed.
+RUSTFLAGS="-D warnings" cargo build --release --offline --workspace --all-targets
 
 echo "== tier 2: release test suite =="
 cargo test --release -q --offline

@@ -11,9 +11,9 @@
 //! ```
 
 use frontier_sim::core::scaling::{strong_scaling, weak_scaling};
-use frontier_sim::core::timers::PHASES;
 use frontier_sim::core::{resume_simulation, run_supervised, Physics, SimConfig};
 use frontier_sim::ranks::{smoke, Backend, World};
+use frontier_sim::telem::{phase_seconds, PHASES};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -279,13 +279,10 @@ fn cmd_run(args: &[String]) {
         println!("supervisor: recovered from {injected} injected fault(s)");
     }
     println!("\nphase breakdown:");
-    for (phase, frac) in report.timers.fractions() {
-        let name = PHASES
-            .iter()
-            .find(|p| **p == phase)
-            .map(|p| p.name())
-            .unwrap_or("?");
-        println!("  {name:<12} {:>5.1}%", frac * 100.0);
+    let secs = phase_seconds(&report.telemetry.ranks);
+    let total: f64 = secs.iter().sum();
+    for (phase, s) in PHASES.iter().zip(secs) {
+        println!("  {:<12} {:>5.1}%", phase.name(), s / total * 100.0);
     }
     println!("\nper-kernel profile (modeled on {}):", 
         frontier_sim::gpusim::DeviceSpec::mi250x_gcd().name);
